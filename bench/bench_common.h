@@ -14,10 +14,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/logging.h"
+#include "core/thread_pool.h"
 #include "dataset/csv.h"
 #include "dataset/generator.h"
 
@@ -125,5 +128,42 @@ inline const dataset::StudyDataset& bench_dataset() {
   }();
   return ds;
 }
+
+/// A small study (seed 2014, one year, ~150 households on half-day
+/// windows) simulated shard by shard through StudyGenerator::simulate_shard
+/// — the batch path generate() runs — for the pipeline microbenchmarks.
+struct ShardWorkload {
+  static dataset::StudyConfig config() {
+    dataset::StudyConfig c;
+    c.seed = 2014;
+    c.population_scale = 0.01;
+    c.window_days = 0.5;
+    c.fcc_users = 30;
+    c.fcc_window_days = 0.5;
+    c.first_year = 2011;
+    c.last_year = 2011;
+    return c;
+  }
+
+  dataset::StudyGenerator gen{market::World::builtin(), config()};
+  std::map<std::string, dataset::MarketSnapshot> markets = gen.build_markets();
+  std::vector<dataset::ShardSpec> shards = gen.plan_shards(markets);
+
+  [[nodiscard]] std::int64_t households() const {
+    std::int64_t n = 0;
+    for (const auto& spec : shards) n += static_cast<std::int64_t>(spec.n_users);
+    return n;
+  }
+
+  /// Simulate every shard on `pool` in index order, as generate() does;
+  /// returns the record count so the work cannot be optimized away.
+  std::size_t run(core::ThreadPool& pool) const {
+    std::size_t records = 0;
+    for (const auto& spec : shards) {
+      records += gen.simulate_shard(spec, markets, pool).records.size();
+    }
+    return records;
+  }
+};
 
 }  // namespace bblab::bench

@@ -15,11 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "core/rng.h"
+#include "bench_common.h"
 #include "core/thread_pool.h"
-#include "measurement/pipeline.h"
-#include "netsim/diurnal.h"
-#include "netsim/workload.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -78,49 +75,17 @@ BENCHMARK(BM_ObsSpanEnabled);
 
 // --- end-to-end pipeline tax -----------------------------------------------
 
-struct PipelineFixture {
-  SimClock clock{2011};
-  netsim::DiurnalModel diurnal{netsim::DiurnalParams{}, clock};
-  netsim::WorkloadGenerator workload{diurnal};
-  measurement::DasuCollector dasu{measurement::DasuCollectorParams{}, diurnal};
-  measurement::GatewayCollector gateway{};
-  measurement::PipelineToolkit kit;
-  std::vector<measurement::HouseholdTask> tasks{32};
-  Rng base{2014};
-
-  PipelineFixture() {
-    kit.workload = &workload;
-    kit.dasu = &dasu;
-    kit.gateway = &gateway;
-    Rng rng{11};
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      auto& t = tasks[i];
-      t.link.down = Rate::from_mbps(rng.uniform(2.0, 60.0));
-      t.link.up = Rate::from_mbps(rng.uniform(0.5, 6.0));
-      t.link.rtt_ms = rng.uniform(15.0, 250.0);
-      t.link.loss = rng.uniform(0.0, 0.005);
-      t.workload.intensity = rng.uniform(0.5, 1.5);
-      t.workload.bt_sessions_per_day = i % 4 == 0 ? 1.0 : 0.0;
-      t.bins = 1440;
-      t.collector = i % 3 == 0 ? measurement::CollectorKind::kGateway
-                               : measurement::CollectorKind::kDasu;
-      t.stream_id = i;
-    }
-  }
-};
-
-/// Best-of-`reps` wall time for one full pipeline pass with tracing in
-/// the given state. Best-of (not mean) rejects scheduler noise, which on
-/// a shared CI box dwarfs the effect being measured.
-double timed_pipeline_ms(const PipelineFixture& fx, core::ThreadPool& pool,
+/// Best-of-`reps` wall time for one full pass over the shard workload
+/// with tracing in the given state. Best-of (not mean) rejects scheduler
+/// noise, which on a shared CI box dwarfs the effect being measured.
+double timed_pipeline_ms(const bench::ShardWorkload& workload, core::ThreadPool& pool,
                          bool tracing, int reps) {
   obs::set_tracing(tracing);
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     obs::reset_spans_for_test();
     const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(
-        measurement::parallel_simulate_households(fx.kit, fx.tasks, fx.base, pool));
+    benchmark::DoNotOptimize(workload.run(pool));
     const auto t1 = std::chrono::steady_clock::now();
     best = std::min(best,
                     std::chrono::duration<double, std::milli>{t1 - t0}.count());
@@ -131,23 +96,21 @@ double timed_pipeline_ms(const PipelineFixture& fx, core::ThreadPool& pool,
 }
 
 void BM_PipelineObsOverhead(benchmark::State& state) {
-  const PipelineFixture fx;
+  const bench::ShardWorkload workload;
   core::ThreadPool pool{static_cast<std::size_t>(state.range(0))};
   // Warm pools, caches and lazily-registered instruments off the clock.
-  timed_pipeline_ms(fx, pool, false, 1);
+  timed_pipeline_ms(workload, pool, false, 1);
 
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        measurement::parallel_simulate_households(fx.kit, fx.tasks, fx.base, pool));
+    benchmark::DoNotOptimize(workload.run(pool));
   }
 
-  const double off_ms = timed_pipeline_ms(fx, pool, false, 5);
-  const double on_ms = timed_pipeline_ms(fx, pool, true, 5);
+  const double off_ms = timed_pipeline_ms(workload, pool, false, 5);
+  const double on_ms = timed_pipeline_ms(workload, pool, true, 5);
   state.counters["baseline_ms"] = off_ms;
   state.counters["traced_ms"] = on_ms;
   state.counters["overhead_pct"] = (on_ms - off_ms) / off_ms * 100.0;
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.tasks.size()));
+  state.SetItemsProcessed(state.iterations() * workload.households());
 }
 BENCHMARK(BM_PipelineObsOverhead)->Arg(1)->Arg(4)->UseRealTime();
 

@@ -144,8 +144,7 @@ struct Toolkit {
 
 /// Simulate one observation window and summarize it through a collector.
 /// `ws` is the worker thread's reusable fluid-engine scratch state.
-measurement::UsageSummary observe(const Toolkit& kit, const StudyConfig& config,
-                                  const AccessLink& link,
+measurement::UsageSummary observe(const Toolkit& kit, const AccessLink& link,
                                   const netsim::WorkloadParams& wp, SimTime t0,
                                   double window_days, double bin_s, bool gateway,
                                   std::uint64_t stream_id, Rng& rng,
@@ -159,8 +158,38 @@ measurement::UsageSummary observe(const Toolkit& kit, const StudyConfig& config,
   task.bin_width_s = bin_s;
   task.collector = gateway ? measurement::CollectorKind::kGateway
                            : measurement::CollectorKind::kDasu;
-  (void)config;
   return measurement::simulate_household(kit.pipeline(), task, rng, &ws).summary;
+}
+
+/// One observed household's record, Dasu or FCC: who it is, what it buys,
+/// what the NDT probe measured and what the collector summarized.
+UserRecord make_record(std::uint64_t user_id, Source source,
+                       const market::CountryProfile& country, int year,
+                       const MarketSnapshot& snap, const ServicePlan& plan,
+                       const Household& household, const SubscriberContext& ctx,
+                       const measurement::UsageSummary& summary,
+                       const measurement::NdtResult& probe) {
+  UserRecord rec;
+  rec.user_id = user_id;
+  rec.source = source;
+  rec.country_code = country.code;
+  rec.region = country.region;
+  rec.year = year;
+  rec.capacity = probe.download;
+  rec.upload_capacity = probe.upload;
+  rec.rtt_ms = probe.rtt_ms;
+  rec.loss = probe.loss;
+  rec.access_price = snap.access_price;
+  rec.upgrade_cost_per_mbps = snap.upgrade_cost_per_mbps;
+  rec.plan_price = plan.monthly_price;
+  rec.plan_capacity = plan.download;
+  rec.monthly_cap = plan.monthly_cap.value_or(0);
+  rec.gdp_per_capita_ppp = country.gdp_per_capita_ppp;
+  rec.usage = summary;
+  rec.true_need_mbps = household.need_mbps;
+  rec.archetype = ctx.archetype;
+  rec.bt_user = ctx.bt_user;
+  return rec;
 }
 
 /// What one simulated household contributes to the dataset. Slots are
@@ -250,9 +279,10 @@ void merge_shard_output(StudyDataset& ds, const ShardSpec& spec, ShardOutput&& o
 
 std::vector<ShardSpec> StudyGenerator::plan_shards(
     const std::map<std::string, MarketSnapshot>& markets) const {
-  // This walk must mirror generate()'s exactly — same country order, same
-  // empty-catalog skips (before any ids are consumed), same per-year user
-  // counts — so shard user-id ranges tile [1, next_user_id) identically.
+  // User ids are handed out in world order, skipping empty catalogs
+  // before any ids are consumed, so shard id ranges tile [1, next_user_id)
+  // and every household's RNG substream (forked by user id) is fixed by
+  // the plan alone.
   OBS_SPAN("plan_shards");
   const int years = config_.last_year - config_.first_year + 1;
   std::vector<ShardSpec> shards;
@@ -426,32 +456,12 @@ ShardOutput StudyGenerator::simulate_shard(
         const SimTime t0 =
             year_base + std::floor(rng.uniform(0.0, max_day)) * kDay;
 
-        const auto summary = observe(kit, config_, link, wp, t0, config_.window_days,
+        const auto summary = observe(kit, link, wp, t0, config_.window_days,
                                      config_.dasu_bin_s, /*gateway=*/false, user_id,
                                      rng, ws);
         const auto probe = kit.ndt.characterize(link, rng);
-
-        UserRecord rec;
-        rec.user_id = user_id;
-        rec.source = Source::kDasu;
-        rec.country_code = country.code;
-        rec.region = country.region;
-        rec.year = year;
-        rec.capacity = probe.download;
-        rec.upload_capacity = probe.upload;
-        rec.rtt_ms = probe.rtt_ms;
-        rec.loss = probe.loss;
-        rec.access_price = snap.access_price;
-        rec.upgrade_cost_per_mbps = snap.upgrade_cost_per_mbps;
-        rec.plan_price = plan.monthly_price;
-        rec.plan_capacity = plan.download;
-        rec.monthly_cap = plan.monthly_cap.value_or(0);
-        rec.gdp_per_capita_ppp = country.gdp_per_capita_ppp;
-        rec.usage = summary;
-        rec.true_need_mbps = household.need_mbps;
-        rec.archetype = archetype;
-        rec.bt_user = ctx.bt_user;
-        out.record = std::move(rec);
+        out.record = make_record(user_id, Source::kDasu, country, year, snap, plan,
+                                 household, ctx, summary, probe);
 
         // Upgrade follow-up: evolve this household one year forward and,
         // if it switched to a faster plan, observe it again on the new
@@ -520,12 +530,12 @@ ShardOutput StudyGenerator::simulate_shard(
             obs.new_capacity = new_plan.download;
             obs.old_price = plan.monthly_price;
             obs.new_price = new_plan.monthly_price;
-            obs.before = observe(kit, config_, link, before_wp, t_before,
-                                 config_.window_days, config_.dasu_bin_s,
-                                 /*gateway=*/false, user_id, rng, ws);
-            obs.after = observe(kit, config_, new_link, after_wp, t_after,
-                                config_.window_days, config_.dasu_bin_s,
-                                /*gateway=*/false, user_id, rng, ws);
+            obs.before = observe(kit, link, before_wp, t_before, config_.window_days,
+                                 config_.dasu_bin_s, /*gateway=*/false, user_id,
+                                 rng, ws);
+            obs.after = observe(kit, new_link, after_wp, t_after, config_.window_days,
+                                config_.dasu_bin_s, /*gateway=*/false, user_id, rng,
+                                ws);
             out.upgrade = std::move(obs);
           }
         }
@@ -565,32 +575,12 @@ ShardOutput StudyGenerator::simulate_shard(
         const double year_base = static_cast<double>(yi) * kYear;
         const double max_day = kYear / kDay - config_.fcc_window_days - 1.0;
         const SimTime t0 = year_base + std::floor(rng.uniform(0.0, max_day)) * kDay;
-        const auto summary =
-            observe(kit, config_, link, wp, t0, config_.fcc_window_days,
-                    config_.dasu_bin_s, /*gateway=*/true, user_id, rng, ws);
+        const auto summary = observe(kit, link, wp, t0, config_.fcc_window_days,
+                                     config_.dasu_bin_s, /*gateway=*/true, user_id, rng,
+                                     ws);
         const auto probe = kit.ndt.characterize(link, rng);
-
-        UserRecord rec;
-        rec.user_id = user_id;
-        rec.source = Source::kFcc;
-        rec.country_code = us.code;
-        rec.region = us.region;
-        rec.year = config_.first_year + yi;
-        rec.capacity = probe.download;
-        rec.upload_capacity = probe.upload;
-        rec.rtt_ms = probe.rtt_ms;
-        rec.loss = probe.loss;
-        rec.access_price = snap.access_price;
-        rec.upgrade_cost_per_mbps = snap.upgrade_cost_per_mbps;
-        rec.plan_price = plan.monthly_price;
-        rec.plan_capacity = plan.download;
-        rec.monthly_cap = plan.monthly_cap.value_or(0);
-        rec.gdp_per_capita_ppp = us.gdp_per_capita_ppp;
-        rec.usage = summary;
-        rec.true_need_mbps = household.need_mbps;
-        rec.archetype = archetype;
-        rec.bt_user = ctx.bt_user;
-        out.record = std::move(rec);
+        out.record = make_record(user_id, Source::kFcc, us, config_.first_year + yi,
+                                 snap, plan, household, ctx, summary, probe);
         return out;
       };
 
@@ -600,8 +590,18 @@ ShardOutput StudyGenerator::simulate_shard(
   return out;
 }
 
-StudyDataset StudyGenerator::generate() const {
+StudyDataset StudyGenerator::generate(const ShardHooks& hooks) const {
   OBS_SPAN("dataset.generate");
+  // Handles up front: the report's checkpoint section must exist (all
+  // zeros) even when every shard is reused or the run fails early.
+  static obs::Counter& planned_c =
+      obs::Registry::instance().counter("checkpoint.shards_planned");
+  static obs::Counter& reused_c =
+      obs::Registry::instance().counter("checkpoint.shards_reused");
+  static obs::Counter& simulated_c =
+      obs::Registry::instance().counter("checkpoint.shards_simulated");
+  static obs::Counter& quarantined_c =
+      obs::Registry::instance().counter("checkpoint.shards_quarantined");
   StudyDataset ds;
   ds.config = config_;
   ds.markets = build_markets();
@@ -609,20 +609,68 @@ StudyDataset StudyGenerator::generate() const {
   if (!config_.faults.empty()) {
     log_info("fault injection active: ", config_.faults.summary());
   }
+  const std::vector<ShardSpec> shards = plan_shards(ds.markets);
+  planned_c.add(shards.size());
+  if (hooks.on_plan) hooks.on_plan(shards);
+
   core::ThreadPool pool{config_.threads};
   log_debug("simulating households on ", pool.size(), " threads");
 
-  for (const ShardSpec& spec : plan_shards(ds.markets)) {
-    merge_shard_output(ds, spec, simulate_shard(spec, ds.markets, pool));
+  const auto quarantine_shard = [&](const ShardSpec& spec, QuarantineReason reason,
+                                    const std::exception& e) {
+    log_warn(spec.label(), " quarantined: ", e.what());
+    ds.qc.add(spec.index, reason, spec.label(), e.what());
+    quarantined_c.add();
+  };
+  for (const ShardSpec& spec : shards) {
+    if (hooks.reuse) {
+      if (auto reused = hooks.reuse(spec)) {
+        merge_shard_output(ds, spec, std::move(*reused));
+        reused_c.add();
+        continue;
+      }
+    }
+
+    const ShardHooks::Simulate simulate = [&](const core::Deadline* deadline) {
+      return simulate_shard(spec, ds.markets, pool, deadline);
+    };
+    ShardOutput out;
+    try {
+      out = hooks.run ? hooks.run(spec, simulate) : simulate(nullptr);
+    } catch (const DeadlineExceeded& e) {
+      quarantine_shard(spec, QuarantineReason::kDeadlineExceeded, e);
+      continue;
+    }
+    simulated_c.add();
+
+    if (hooks.publish) {
+      try {
+        hooks.publish(spec, out);
+      } catch (const IoError& e) {
+        quarantine_shard(spec, QuarantineReason::kIoFailure, e);
+        continue;
+      }
+    }
+    merge_shard_output(ds, spec, std::move(out));
   }
 
   if (!ds.qc.empty()) {
     log_warn("generation quarantine: ", ds.qc.summary());
-    if (ds.qc.failure_rate() > config_.max_household_failure_rate) {
+    // The failure-rate tripwire guards against a sick *simulation*;
+    // count only household-level rows so a quarantined shard (an I/O or
+    // deadline event, already reported above) cannot trip it.
+    const std::size_t shard_rows = ds.qc.count(QuarantineReason::kIoFailure) +
+                                   ds.qc.count(QuarantineReason::kDeadlineExceeded);
+    const std::size_t household_rows = ds.qc.rows.size() - shard_rows;
+    const std::size_t seen = ds.qc.admitted + household_rows;
+    const double rate =
+        seen == 0 ? 0.0
+                  : static_cast<double>(household_rows) / static_cast<double>(seen);
+    if (rate > config_.max_household_failure_rate) {
       throw AnalysisError{"StudyGenerator: household failure rate " +
-                          std::to_string(ds.qc.failure_rate()) + " exceeds max " +
-                          std::to_string(config_.max_household_failure_rate) +
-                          " (" + ds.qc.summary() + ")"};
+                          std::to_string(rate) + " exceeds max " +
+                          std::to_string(config_.max_household_failure_rate) + " (" +
+                          ds.qc.summary() + ")"};
     }
   }
 

@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -153,12 +155,35 @@ struct ShardOutput {
 /// for every planned shard in index order reproduces generate() exactly.
 void merge_shard_output(StudyDataset& ds, const ShardSpec& spec, ShardOutput&& out);
 
+/// Persistence plugged into generate()'s shard loop (store::run_checkpointed
+/// is the one user). Every hook may be left empty; with none set, generate()
+/// simulates and merges every planned shard.
+struct ShardHooks {
+  /// Simulates the shard, polling `deadline` (null = none) between households.
+  using Simulate = std::function<ShardOutput(const core::Deadline* deadline)>;
+
+  /// Called once with the plan, before any shard runs.
+  std::function<void(const std::vector<ShardSpec>&)> on_plan;
+  /// An already persisted output to merge instead of simulating, or nullopt.
+  std::function<std::optional<ShardOutput>(const ShardSpec&)> reuse;
+  /// Runs `simulate` for the shard, e.g. under a deadline and watchdog. A
+  /// core::DeadlineExceeded that escapes quarantines the shard.
+  std::function<ShardOutput(const ShardSpec&, const Simulate& simulate)> run;
+  /// Persists a freshly simulated shard before it is merged. An IoError
+  /// that escapes quarantines the shard.
+  std::function<void(const ShardSpec&, const ShardOutput&)> publish;
+};
+
 class StudyGenerator {
  public:
   StudyGenerator(const market::World& world, StudyConfig config);
 
-  /// Generate the full dataset. Deterministic in config.seed.
-  [[nodiscard]] StudyDataset generate() const;
+  /// Generate the full dataset: build the markets, plan the shards, then
+  /// reuse or simulate each shard in index order and merge it. A shard the
+  /// hooks lose (deadline or I/O) is quarantined into the dataset's QC
+  /// ledger under its shard index and the run goes on; too many failed
+  /// *households* abort with AnalysisError. Deterministic in config.seed.
+  [[nodiscard]] StudyDataset generate(const ShardHooks& hooks = {}) const;
 
   /// Build only the market snapshots (fast; used by market-only benches).
   [[nodiscard]] std::map<std::string, MarketSnapshot> build_markets(Rng& rng) const;
@@ -168,22 +193,21 @@ class StudyGenerator {
 
   /// Deterministically split the run into shards: one per non-empty
   /// (country, year) Dasu cross-section in world order, then one per FCC
-  /// panel year. User-id ranges match the monolithic generate() walk.
+  /// panel year. User-id ranges tile [1, N) in that order.
   [[nodiscard]] std::vector<ShardSpec> plan_shards(
       const std::map<std::string, MarketSnapshot>& markets) const;
 
   /// Simulate one shard. Depends only on (config, world, markets) — no
   /// state is shared between calls, so shards may run in any order or
   /// process. If `deadline` is set it is polled between households and
-  /// overruns throw core::DeadlineExceeded (the caller quarantines the
-  /// shard; partial output is discarded).
+  /// overruns throw core::DeadlineExceeded (generate() quarantines the
+  /// shard; partial output is discarded). Each household runs under
+  /// failure isolation: one that throws becomes a QC row, not an error.
   [[nodiscard]] ShardOutput simulate_shard(
       const ShardSpec& spec, const std::map<std::string, MarketSnapshot>& markets,
       core::ThreadPool& pool, const core::Deadline* deadline = nullptr) const;
 
  private:
-  struct SimContext;  // internal helpers defined in the .cpp
-
   const market::World& world_;
   StudyConfig config_;
 };

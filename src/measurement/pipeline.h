@@ -1,22 +1,18 @@
-// Parallel per-household simulation pipeline.
+// Per-household simulation pipeline.
 //
 // The paper's datasets are tens of thousands of independent
 // household-windows, each run through the same workload -> fluid-link ->
-// collector chain. This driver shards those households across a
-// core::ThreadPool and merges the per-shard collector output back in
-// task order, so the result vector — and every statistic computed from
-// it — is bit-identical regardless of thread count. Determinism comes
-// from the RNG substream scheme: household i draws only from
-// base.fork(tasks[i].stream_id), never from a shared stream.
+// collector chain. simulate_household runs one of them; the generator's
+// shards (dataset::StudyGenerator::simulate_shard) fan households out
+// across a core::ThreadPool and merge them back in user-id order, so the
+// dataset is bit-identical regardless of thread count. Determinism comes
+// from the RNG substream scheme: a household draws only from a substream
+// forked by its stable id, never from a shared stream.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
-#include "core/quarantine.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "faults/fault_plan.h"
 #include "measurement/collectors.h"
 #include "measurement/usage.h"
@@ -35,7 +31,8 @@ namespace bblab::measurement {
 /// the configs hash equal. Bump it on ANY change that alters the output
 /// of simulate_household for a fixed (toolkit, task, rng) — workload
 /// generation, fluid dynamics, collector sampling, fault application.
-inline constexpr std::uint32_t kPipelineSemanticsVersion = 1;
+/// v2: snapshots no longer record StudyConfig::threads.
+inline constexpr std::uint32_t kPipelineSemanticsVersion = 2;
 
 enum class CollectorKind {
   kDasu,     ///< 30 s end-host byte counters (availability-biased)
@@ -57,15 +54,13 @@ struct HouseholdTask {
 
 /// Feed every simulation-relevant field of a task into a fingerprint
 /// hasher. Together with kPipelineSemanticsVersion and the RNG base this
-/// addresses a household's simulated output — the cache lookup key for
-/// batches run through parallel_simulate_households.
+/// addresses a household's simulated output.
 void fingerprint(core::Hasher& hasher, const HouseholdTask& task);
 
 struct HouseholdResult {
   netsim::BinnedUsage truth;  ///< simulator ground truth
   UsageSeries series;         ///< what the instrument observed
   UsageSummary summary;       ///< the per-user demand metrics
-  bool failed{false};         ///< quarantined by the isolating batch driver
 };
 
 /// Shared read-only simulation components. All referenced objects must
@@ -95,45 +90,13 @@ void apply_faults(UsageSeries& series, const faults::HouseholdFaults& household)
 /// observed series; a household selected for hard failure throws
 /// InjectedFault.
 ///
-/// `workspace` is the fluid engine's reusable scratch state: batch
-/// drivers pass one per worker thread so every household-window after the
+/// `workspace` is the fluid engine's reusable scratch state: the shard
+/// driver passes one per worker block so every household-window after the
 /// first runs with zero simulator allocations. Null falls back to a
 /// per-call workspace (identical output, just slower).
 [[nodiscard]] HouseholdResult simulate_household(const PipelineToolkit& kit,
                                                  const HouseholdTask& task, Rng& rng,
                                                  netsim::FluidWorkspace* workspace =
                                                      nullptr);
-
-/// Simulate every task, sharded across `pool`, merging results in task
-/// order. Household i uses base.fork(tasks[i].stream_id); output is
-/// byte-identical for any pool size.
-[[nodiscard]] std::vector<HouseholdResult> parallel_simulate_households(
-    const PipelineToolkit& kit, std::span<const HouseholdTask> tasks,
-    const Rng& base, core::ThreadPool& pool);
-
-/// Degradation policy for the isolating batch driver.
-struct BatchOptions {
-  /// Quarantine per-household exceptions instead of failing the batch.
-  bool isolate_failures{false};
-  /// Abort (AnalysisError) when quarantined/total exceeds this rate.
-  double max_failure_rate{1.0};
-};
-
-struct BatchResult {
-  std::vector<HouseholdResult> results;  ///< task order; failed slots are empty
-  core::QuarantineReport quarantine;     ///< index = task index
-};
-
-/// Like the vector overload, but with graceful degradation: when
-/// `options.isolate_failures` is set, a household that throws is recorded
-/// in the quarantine report (InjectedFault -> injected-fault, anything
-/// else -> household-failure), its result slot is marked `failed`, and
-/// the batch continues — unless the failure rate crosses
-/// `options.max_failure_rate`, which aborts with AnalysisError. The
-/// quarantine report is merged in task order, so it is bit-identical for
-/// any pool size too.
-[[nodiscard]] BatchResult parallel_simulate_households(
-    const PipelineToolkit& kit, std::span<const HouseholdTask> tasks,
-    const Rng& base, core::ThreadPool& pool, const BatchOptions& options);
 
 }  // namespace bblab::measurement

@@ -224,6 +224,13 @@ void Server::dispatch(Conn& conn) {
       conn_ptr->dead = true;  // framing is suspect; close after replying
     }
     const std::string frame = encode_response(response);
+    // Count before replying: a client that has read its reply must see
+    // the request counted.
+    requests_counter().add();
+    {
+      const std::lock_guard<std::mutex> lock{served_mutex_};
+      ++served_;
+    }
     try {
       conn_ptr->sock.send_all(frame);
       bytes_out_counter().add(frame.size());
@@ -231,11 +238,6 @@ void Server::dispatch(Conn& conn) {
       // Client went away mid-query: one wasted render, nothing else.
       disconnects_counter().add();
       conn_ptr->dead = true;
-    }
-    requests_counter().add();
-    {
-      const std::lock_guard<std::mutex> lock{served_mutex_};
-      ++served_;
     }
     {
       const std::lock_guard<std::mutex> lock{done_mutex_};

@@ -16,8 +16,8 @@
 //      never silently wrong data.
 //   3. Columnar: big sections store one field across all records
 //      contiguously, and the reader decodes column-at-a-time straight
-//      into the destination vector — no intermediate row objects, and
-//      peak transient memory is one section buffer, not the file.
+//      from the file's bytes (usually a read-only mapping) into the
+//      destination vector — no intermediate row objects or buffers.
 //   4. Seekable: a footer index maps section name -> (offset, size,
 //      checksum), so `bblab cat` and partial readers locate any section
 //      in O(1) without scanning the file.
@@ -32,6 +32,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/error.h"
@@ -75,13 +76,16 @@ void write_snapshot_file(const std::filesystem::path& path,
                          const dataset::StudyDataset& ds,
                          core::FileSystem& fs = core::FileSystem::instance());
 
-/// Deserialize a snapshot. MarketSnapshot::country pointers are rebound
-/// into `world` (a snapshot referencing a country the world does not
-/// contain is rejected with kBadValue). The stream must be seekable.
-/// Throws SnapshotError on any corruption or version mismatch.
+/// Deserialize a snapshot from its bytes — the one decoder, which
+/// SnapshotView runs over its mapping too. MarketSnapshot::country
+/// pointers are rebound into `world` (a snapshot referencing a country
+/// the world does not contain is rejected with kBadValue). Throws
+/// SnapshotError on any corruption or version mismatch.
 [[nodiscard]] dataset::StudyDataset read_snapshot(
-    std::istream& in, const market::World& world = market::World::builtin());
+    std::string_view bytes, const market::World& world = market::World::builtin());
 
+/// Deserialize a snapshot file: mmapped through SnapshotView, or read
+/// whole when the file cannot be mapped (a pipe).
 [[nodiscard]] dataset::StudyDataset read_snapshot_file(
     const std::filesystem::path& path,
     const market::World& world = market::World::builtin());
@@ -100,9 +104,9 @@ struct SnapshotInfo {
   std::vector<SectionInfo> sections;
 };
 
-/// Read only the header + footer index (O(1) in file size). Verifies
+/// Decode only the header + footer index (O(1) in file size). Verifies
 /// framing and the footer checksum but not section payloads.
-[[nodiscard]] SnapshotInfo inspect_snapshot(std::istream& in);
+[[nodiscard]] SnapshotInfo inspect_snapshot(std::string_view bytes);
 
 /// Zero-copy snapshot reader over a memory-mapped `.bbs` file.
 ///
@@ -113,8 +117,8 @@ struct SnapshotInfo {
 /// checksum-verifies the payload *before* returning it, so a truncated
 /// or bit-flipped section is a typed SnapshotError at the call site and
 /// corrupt bytes are never visible through a view. Decoding through
-/// views (`dataset()`) is byte-equivalent to read_snapshot() on the
-/// same file; it is what `bblab cat`, cache loads, and the serve
+/// views (`dataset()`) runs the same decoder as read_snapshot() on the
+/// same bytes; it is what `bblab cat`, cache loads, and the serve
 /// daemon's dataset LRU run on.
 ///
 /// Move-only; the mapping (and every view into it) lives as long as the
@@ -144,8 +148,8 @@ class SnapshotView {
   /// enough to fingerprint the snapshot without materializing tables.
   [[nodiscard]] dataset::StudyConfig config() const;
 
-  /// Decode the full dataset from section views. Identical output to
-  /// read_snapshot() on the same bytes, with zero intermediate buffers.
+  /// Decode the full dataset from section views: read_snapshot() over
+  /// the mapping, with zero intermediate buffers.
   [[nodiscard]] dataset::StudyDataset dataset(
       const market::World& world = market::World::builtin()) const;
 

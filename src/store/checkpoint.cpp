@@ -15,7 +15,6 @@
 #include "core/hash.h"
 #include "core/logging.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "core/watchdog.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -195,8 +194,7 @@ struct Manifest {
   if (file_hash_out != nullptr) {
     *file_hash_out = core::hash_bytes(bytes.data(), bytes.size(), kManifestSeed);
   }
-  std::istringstream in{bytes, std::ios::binary};
-  dataset::StudyDataset sds = read_snapshot(in, world);
+  dataset::StudyDataset sds = read_snapshot(bytes, world);
   if (dataset_fingerprint(sds.config, world) != key) {
     throw SnapshotError{QuarantineReason::kFormatMismatch,
                         "segment " + path.string() + " belongs to another run"};
@@ -210,16 +208,6 @@ CheckpointedRun run_checkpointed(const market::World& world,
                                  const dataset::StudyConfig& config,
                                  const CheckpointOptions& opts) {
   OBS_SPAN("run_checkpointed");
-  // Handles up front: the report's checkpoint section must exist (all
-  // zeros) even when every shard is reused or the run degrades early.
-  static obs::Counter& planned_c =
-      obs::Registry::instance().counter("checkpoint.shards_planned");
-  static obs::Counter& reused_c =
-      obs::Registry::instance().counter("checkpoint.shards_reused");
-  static obs::Counter& simulated_c =
-      obs::Registry::instance().counter("checkpoint.shards_simulated");
-  static obs::Counter& quarantined_c =
-      obs::Registry::instance().counter("checkpoint.shards_quarantined");
   static obs::Counter& salvaged_c =
       obs::Registry::instance().counter("checkpoint.segments_salvaged");
   require(!opts.dir.empty(), "run_checkpointed: empty checkpoint directory");
@@ -228,50 +216,15 @@ CheckpointedRun run_checkpointed(const market::World& world,
   const std::filesystem::path manifest_path = opts.dir / "MANIFEST";
   const std::filesystem::path shards_dir = opts.dir / "shards";
 
-  dataset::StudyGenerator gen{world, config};
-  dataset::StudyDataset ds;
-  ds.config = config;
-  ds.markets = gen.build_markets();
-  const std::vector<dataset::ShardSpec> shards = gen.plan_shards(ds.markets);
-
-  fs.create_directories(shards_dir);
-
+  CheckpointedRun run;
   Manifest manifest;
   manifest.key = key;
-  manifest.shards = shards.size();
-  if (opts.resume && fs.exists(manifest_path)) {
-    const auto loaded = Manifest::parse(fs.read_file(manifest_path));
-    if (loaded && loaded->key == key && loaded->shards == shards.size()) {
-      manifest = *loaded;
-      log_info("checkpoint: resuming from ", manifest_path.string(), " (",
-               manifest.commits.size(), "/", shards.size(), " shards committed)");
-    } else if (loaded) {
-      log_warn("checkpoint: ", manifest_path.string(),
-               " belongs to a different run (fingerprint/shard mismatch); "
-               "starting fresh");
-    } else {
-      log_warn("checkpoint: ", manifest_path.string(),
-               " is unreadable; starting fresh (segments may still salvage)");
-    }
-  } else if (!opts.resume && fs.exists(manifest_path)) {
-    // A fresh (non-resume) run must not leave a stale commit log that a
-    // later --resume could trust ahead of the segments it overwrites.
-    fs.remove(manifest_path);
-  }
-
-  std::map<std::size_t, const ManifestCommit*> committed;
-  for (const ManifestCommit& c : manifest.commits) committed[c.index] = &c;
-
-  const bool deadline_enabled = opts.shard_deadline_s > 0.0;
-  core::ThreadPool pool{config.threads};
+  // Shard index -> segment hash of every commit the resumed manifest holds.
+  std::map<std::size_t, std::uint64_t> committed;
   core::Watchdog watchdog;
   // Deterministic backoff jitter: a distinct fork of the run's own seed,
   // so retry schedules replay exactly under a fixed fault plan.
   Rng retry_rng = Rng{config.seed}.fork(0xB0FF);
-
-  CheckpointedRun run;
-  run.shards_total = shards.size();
-  planned_c.add(shards.size());
 
   auto commit_shard = [&](const dataset::ShardSpec& spec, const std::string& file,
                           std::uint64_t file_hash) {
@@ -292,116 +245,103 @@ CheckpointedRun run_checkpointed(const market::World& world,
     }
   };
 
-  for (const dataset::ShardSpec& spec : shards) {
-    const std::string file = shard_file_name(spec.index);
-    const std::filesystem::path path = shards_dir / file;
+  dataset::ShardHooks hooks;
+  hooks.on_plan = [&](const std::vector<dataset::ShardSpec>& shards) {
+    run.shards_total = shards.size();
+    manifest.shards = shards.size();
+    fs.create_directories(shards_dir);
+    if (opts.resume && fs.exists(manifest_path)) {
+      const auto loaded = Manifest::parse(fs.read_file(manifest_path));
+      if (loaded && loaded->key == key && loaded->shards == shards.size()) {
+        manifest = *loaded;
+        log_info("checkpoint: resuming from ", manifest_path.string(), " (",
+                 manifest.commits.size(), "/", shards.size(), " shards committed)");
+      } else if (loaded) {
+        log_warn("checkpoint: ", manifest_path.string(),
+                 " belongs to a different run (fingerprint/shard mismatch); "
+                 "starting fresh");
+      } else {
+        log_warn("checkpoint: ", manifest_path.string(),
+                 " is unreadable; starting fresh (segments may still salvage)");
+      }
+    } else if (!opts.resume && fs.exists(manifest_path)) {
+      // A fresh (non-resume) run must not leave a stale commit log that a
+      // later --resume could trust ahead of the segments it overwrites.
+      fs.remove(manifest_path);
+    }
+    for (const ManifestCommit& c : manifest.commits) committed[c.index] = c.file_hash;
+  };
 
-    if (opts.resume) {
+  if (opts.resume) {
+    hooks.reuse = [&](const dataset::ShardSpec& spec)
+        -> std::optional<dataset::ShardOutput> {
+      const std::string file = shard_file_name(spec.index);
+      const std::filesystem::path path = shards_dir / file;
       const auto it = committed.find(spec.index);
       const bool in_manifest = it != committed.end();
-      if (in_manifest || fs.exists(path)) {
-        try {
-          std::uint64_t file_hash = 0;
-          dataset::StudyDataset sds = load_segment(fs, path, world, key, &file_hash);
-          if (in_manifest && it->second->file_hash != file_hash) {
-            throw SnapshotError{QuarantineReason::kChecksumMismatch,
-                                "segment " + path.string() +
-                                    " does not match its manifest commit"};
-          }
-          if (!in_manifest) {
-            // Killed between segment rename and manifest rewrite: the
-            // segment proved itself (checksums + fingerprint), so adopt
-            // it and repair the index.
-            log_info("checkpoint: salvaged uncommitted segment ", path.string());
-            salvaged_c.add();
-            commit_shard(spec, file, file_hash);
-          }
-          merge_shard_output(ds, spec, to_shard_output(spec, std::move(sds)));
-          run.shards_reused += 1;
-          reused_c.add();
-          continue;
-        } catch (const std::exception& e) {
-          log_warn("checkpoint: cannot reuse ", path.string(), ": ", e.what(),
-                   "; re-simulating");
+      if (!in_manifest && !fs.exists(path)) return std::nullopt;
+      try {
+        std::uint64_t file_hash = 0;
+        dataset::StudyDataset sds = load_segment(fs, path, world, key, &file_hash);
+        if (in_manifest && it->second != file_hash) {
+          throw SnapshotError{QuarantineReason::kChecksumMismatch,
+                              "segment " + path.string() +
+                                  " does not match its manifest commit"};
         }
-      }
-    }
-
-    dataset::ShardOutput out;
-    try {
-      if (deadline_enabled) {
-        const core::Deadline deadline{opts.shard_deadline_s};
-        const auto guard = watchdog.watch(spec.label(), deadline);
-        out = gen.simulate_shard(spec, ds.markets, pool, &deadline);
-      } else {
-        out = gen.simulate_shard(spec, ds.markets, pool);
-      }
-    } catch (const DeadlineExceeded& e) {
-      log_warn("checkpoint: ", spec.label(), " quarantined: ", e.what());
-      ds.qc.add(spec.index, QuarantineReason::kDeadlineExceeded, spec.label(),
-                e.what());
-      run.shards_failed += 1;
-      quarantined_c.add();
-      continue;
-    }
-    simulated_c.add();
-
-    try {
-      OBS_SPAN("publish_shard", file);
-      std::uint64_t file_hash = 0;
-      core::with_retry(opts.retry, retry_rng, "publish " + spec.label(), [&] {
-        write_snapshot_file(path, shard_dataset(config, spec, out), fs);
-        // Read-back verification closes the torn-write hole: a silent
-        // short write passes the rename but cannot pass the snapshot
-        // checksums. Failing transiently makes with_retry redo the
-        // whole write, which is exactly the right repair.
-        try {
-          (void)load_segment(fs, path, world, key, &file_hash);
-        } catch (const SnapshotError& e) {
-          throw TransientIoError{std::string{"read-back verification failed: "} +
-                                 e.what()};
+        if (!in_manifest) {
+          // Killed between segment rename and manifest rewrite: the
+          // segment proved itself (checksums + fingerprint), so adopt
+          // it and repair the index.
+          log_info("checkpoint: salvaged uncommitted segment ", path.string());
+          salvaged_c.add();
+          commit_shard(spec, file, file_hash);
         }
-      });
-      commit_shard(spec, file, file_hash);
-    } catch (const IoError& e) {
-      log_warn("checkpoint: ", spec.label(),
-               " quarantined after exhausting retries: ", e.what());
-      ds.qc.add(spec.index, QuarantineReason::kIoFailure, spec.label(), e.what());
-      run.shards_failed += 1;
-      quarantined_c.add();
-      continue;
-    }
-
-    merge_shard_output(ds, spec, std::move(out));
+        run.shards_reused += 1;
+        return to_shard_output(spec, std::move(sds));
+      } catch (const std::exception& e) {
+        log_warn("checkpoint: cannot reuse ", path.string(), ": ", e.what(),
+                 "; re-simulating");
+        return std::nullopt;
+      }
+    };
   }
 
-  if (!ds.qc.empty()) {
-    log_warn("generation quarantine: ", ds.qc.summary());
-    // The failure-rate tripwire guards against a sick *simulation*;
-    // count only household-level rows so a quarantined shard (an I/O or
-    // deadline event, already reported above) cannot trip it.
-    const std::size_t shard_rows = ds.qc.count(QuarantineReason::kIoFailure) +
-                                   ds.qc.count(QuarantineReason::kDeadlineExceeded);
-    const std::size_t household_rows = ds.qc.rows.size() - shard_rows;
-    const std::size_t seen = ds.qc.admitted + household_rows;
-    const double rate =
-        seen == 0 ? 0.0
-                  : static_cast<double>(household_rows) / static_cast<double>(seen);
-    if (rate > config.max_household_failure_rate) {
-      throw AnalysisError{"run_checkpointed: household failure rate " +
-                          std::to_string(rate) + " exceeds max " +
-                          std::to_string(config.max_household_failure_rate) + " (" +
-                          ds.qc.summary() + ")"};
-    }
+  if (opts.shard_deadline_s > 0.0) {
+    hooks.run = [&](const dataset::ShardSpec& spec,
+                    const dataset::ShardHooks::Simulate& simulate) {
+      const core::Deadline deadline{opts.shard_deadline_s};
+      const auto guard = watchdog.watch(spec.label(), deadline);
+      return simulate(&deadline);
+    };
   }
 
+  hooks.publish = [&](const dataset::ShardSpec& spec, const dataset::ShardOutput& out) {
+    const std::string file = shard_file_name(spec.index);
+    const std::filesystem::path path = shards_dir / file;
+    OBS_SPAN("publish_shard", file);
+    std::uint64_t file_hash = 0;
+    core::with_retry(opts.retry, retry_rng, "publish " + spec.label(), [&] {
+      write_snapshot_file(path, shard_dataset(config, spec, out), fs);
+      // Read-back verification closes the torn-write hole: a silent
+      // short write passes the rename but cannot pass the snapshot
+      // checksums. Failing transiently makes with_retry redo the
+      // whole write, which is exactly the right repair.
+      try {
+        (void)load_segment(fs, path, world, key, &file_hash);
+      } catch (const SnapshotError& e) {
+        throw TransientIoError{std::string{"read-back verification failed: "} +
+                               e.what()};
+      }
+    });
+    commit_shard(spec, file, file_hash);
+  };
+
+  run.dataset = dataset::StudyGenerator{world, config}.generate(hooks);
+  run.shards_failed = run.dataset.qc.count(QuarantineReason::kIoFailure) +
+                      run.dataset.qc.count(QuarantineReason::kDeadlineExceeded);
   log_info("checkpoint: ", run.shards_total, " shards (", run.shards_reused,
-           " reused, ",
-           run.shards_total - run.shards_reused - run.shards_failed,
+           " reused, ", run.shards_total - run.shards_reused - run.shards_failed,
            " simulated, ", run.shards_failed, " failed)");
-  log_info("dataset: ", ds.dasu.size(), " dasu users, ", ds.fcc.size(),
-           " fcc users, ", ds.upgrades.size(), " upgrade pairs");
-  run.dataset = std::move(ds);
   return run;
 }
 

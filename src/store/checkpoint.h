@@ -1,15 +1,16 @@
 // Crash-safe checkpointed study runs.
 //
 // A full panel simulation is minutes of work; a power cut at minute
-// nine should not cost the first eight. run_checkpointed() splits the
-// run into its deterministic shards (dataset::ShardSpec — one per
-// country-year cross-section), persists every completed shard as an
-// atomically-published .bbs segment under a checkpoint directory, and
-// records each publication in a manifest. Killed at ANY instruction and
-// restarted with resume=true, it re-simulates only the unfinished
-// shards and merges to a dataset byte-identical to an uninterrupted run
-// — the shard decomposition is exact (PR 1's determinism guarantee
-// extended across process boundaries).
+// nine should not cost the first eight. run_checkpointed() runs the
+// generator's own shard driver (StudyGenerator::generate, one shard per
+// country-year cross-section) with dataset::ShardHooks that persist every
+// completed shard as an atomically-published .bbs segment under a
+// checkpoint directory and record each publication in a manifest.
+// Killed at ANY instruction and restarted with resume=true, it
+// re-simulates only the unfinished shards and merges to a dataset
+// byte-identical to an uninterrupted run — the shard decomposition is
+// exact (the thread-count determinism guarantee, extended across
+// process boundaries).
 //
 // Layout under `dir`:
 //

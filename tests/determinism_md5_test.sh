@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Determinism acceptance check for the work-stealing pool: the full
-# dataset (every generated CSV) and the figure renderings must be
-# byte-identical — compared by md5 — no matter how many threads the
-# engine schedules across. Steal order is adversarially timing-dependent,
-# so any ordering leak into results shows up here as an md5 mismatch.
+# dataset (every generated CSV), its packed snapshot and the figure
+# renderings must be byte-identical — compared by md5 or cmp — no matter
+# how many threads the engine schedules across. Steal order is
+# adversarially timing-dependent, so any ordering leak into results shows
+# up here as a mismatch.
 set -u
 
 BBLAB=$1
@@ -33,6 +34,19 @@ for t in 2 8; do
   got=$(md5_tree "$WORK/gen$t")
   [ "$got" = "$base" ] || fail "dataset md5 differs at $t threads: $got != $base"
 done
+
+# --- snapshots: pack at 1 / 2 / 8 threads ----------------------------------
+# The dataset is the same at every thread count, so the .bbs bytes must be
+# too: a snapshot does not record how many threads wrote it.
+for t in 1 2 8; do
+  "$BBLAB" pack "$WORK/pack$t.bbs" $ARGS --threads "$t" >/dev/null 2>&1 \
+    || fail "pack --threads $t exited non-zero"
+done
+for t in 2 8; do
+  cmp -s "$WORK/pack1.bbs" "$WORK/pack$t.bbs" \
+    || fail "pack at $t threads differs from pack at 1 thread"
+done
+echo "snapshot bytes compared at 1/2/8 threads"
 
 # --- observability is a pure side channel ----------------------------------
 # The same generations with --metrics-out/--trace-out enabled must produce

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "obs/metrics.h"
 #include "stats/quantile.h"
 
 namespace bblab::dataset {
@@ -91,6 +92,35 @@ TEST(StudyGenerator, DeterministicForSameSeed) {
     EXPECT_DOUBLE_EQ(a.dasu[i].capacity.bps(), b.dasu[i].capacity.bps());
     EXPECT_DOUBLE_EQ(a.dasu[i].usage.mean_down.bps(), b.dasu[i].usage.mean_down.bps());
   }
+}
+
+TEST(StudyGenerator, CountsItsShardsOnEveryRun) {
+  // A plain generate() reports the shards it ran under the same counters
+  // a checkpointed run does, so a run report's headline is never 0.
+  auto& registry = obs::Registry::instance();
+  const auto count = [&](const char* name) { return registry.counter(name).value(); };
+  const std::uint64_t planned = count("checkpoint.shards_planned");
+  const std::uint64_t reused = count("checkpoint.shards_reused");
+  const std::uint64_t simulated = count("checkpoint.shards_simulated");
+  const std::uint64_t quarantined = count("checkpoint.shards_quarantined");
+
+  StudyConfig config;
+  config.seed = 3;
+  config.population_scale = 0.01;
+  config.window_days = 0.25;
+  config.fcc_users = 10;
+  config.fcc_window_days = 0.25;
+  config.first_year = 2011;
+  config.last_year = 2011;
+  const StudyGenerator gen{market::World::builtin(), config};
+  const std::size_t shards = gen.plan_shards(gen.build_markets()).size();
+  ASSERT_GT(shards, 0u);
+  (void)gen.generate();
+
+  EXPECT_EQ(count("checkpoint.shards_planned") - planned, shards);
+  EXPECT_EQ(count("checkpoint.shards_simulated") - simulated, shards);
+  EXPECT_EQ(count("checkpoint.shards_reused") - reused, 0u);
+  EXPECT_EQ(count("checkpoint.shards_quarantined") - quarantined, 0u);
 }
 
 TEST(StudyGenerator, MarketSnapshotsCoverCaseStudies) {

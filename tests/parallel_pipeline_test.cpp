@@ -1,8 +1,6 @@
 // Property tests for the parallel simulation/analysis engine: thread
 // count must never change any result, and the band-pruned matcher must
 // reproduce the brute-force feasible-pair enumeration exactly.
-#include "measurement/pipeline.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +8,7 @@
 #include <cstdint>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "causal/matching.h"
@@ -18,160 +17,11 @@
 #include "dataset/csv.h"
 #include "dataset/generator.h"
 #include "market/country.h"
-#include "netsim/diurnal.h"
 
 namespace bblab {
 namespace {
 
-using measurement::CollectorKind;
-using measurement::HouseholdResult;
-using measurement::HouseholdTask;
-using measurement::PipelineToolkit;
-
-struct PipelineFixture {
-  SimClock clock{2011};
-  netsim::DiurnalModel diurnal{netsim::DiurnalParams{}, clock};
-  netsim::WorkloadGenerator workload{diurnal};
-  measurement::DasuCollector dasu{measurement::DasuCollectorParams{}, diurnal};
-  measurement::GatewayCollector gateway{};
-
-  [[nodiscard]] PipelineToolkit kit() const {
-    PipelineToolkit k;
-    k.workload = &workload;
-    k.dasu = &dasu;
-    k.gateway = &gateway;
-    return k;
-  }
-
-  /// A mixed batch: varied capacities, workloads, and both collectors.
-  [[nodiscard]] std::vector<HouseholdTask> make_tasks(std::size_t n) const {
-    Rng rng{99};
-    std::vector<HouseholdTask> tasks;
-    tasks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      HouseholdTask t;
-      t.link.down = Rate::from_mbps(rng.uniform(1.0, 50.0));
-      t.link.up = Rate::from_mbps(rng.uniform(0.5, 5.0));
-      t.link.rtt_ms = rng.uniform(10.0, 300.0);
-      t.link.loss = rng.uniform(0.0, 0.01);
-      t.workload.intensity = rng.uniform(0.3, 2.0);
-      t.workload.heavy_intensity = rng.uniform(0.3, 2.0);
-      t.workload.bt_sessions_per_day = rng.bernoulli(0.3) ? 1.0 : 0.0;
-      t.workload.phase_shift_hours = rng.normal(0.0, 1.5);
-      t.t0 = std::floor(rng.uniform(0.0, 300.0)) * kDay;
-      t.bins = 720;  // six hours at 30 s
-      t.bin_width_s = 30.0;
-      t.collector = i % 3 == 0 ? CollectorKind::kGateway : CollectorKind::kDasu;
-      t.stream_id = 1000 + i;
-      tasks.push_back(t);
-    }
-    return tasks;
-  }
-};
-
-void expect_identical(const HouseholdResult& a, const HouseholdResult& b,
-                      std::size_t household) {
-  ASSERT_EQ(a.truth.bins(), b.truth.bins()) << household;
-  for (std::size_t i = 0; i < a.truth.bins(); ++i) {
-    ASSERT_EQ(a.truth.down_bytes[i], b.truth.down_bytes[i]) << household;
-    ASSERT_EQ(a.truth.up_bytes[i], b.truth.up_bytes[i]) << household;
-    ASSERT_EQ(a.truth.bt_active_s[i], b.truth.bt_active_s[i]) << household;
-  }
-  ASSERT_EQ(a.series.size(), b.series.size()) << household;
-  for (std::size_t i = 0; i < a.series.size(); ++i) {
-    ASSERT_EQ(a.series.samples[i].time, b.series.samples[i].time) << household;
-    ASSERT_EQ(a.series.samples[i].down.bps(), b.series.samples[i].down.bps());
-    ASSERT_EQ(a.series.samples[i].up.bps(), b.series.samples[i].up.bps());
-    ASSERT_EQ(a.series.samples[i].bt_active, b.series.samples[i].bt_active);
-  }
-  ASSERT_EQ(a.summary.mean_down.bps(), b.summary.mean_down.bps()) << household;
-  ASSERT_EQ(a.summary.peak_down.bps(), b.summary.peak_down.bps()) << household;
-  ASSERT_EQ(a.summary.mean_down_no_bt.bps(), b.summary.mean_down_no_bt.bps());
-  ASSERT_EQ(a.summary.peak_down_no_bt.bps(), b.summary.peak_down_no_bt.bps());
-  ASSERT_EQ(a.summary.samples, b.summary.samples) << household;
-  ASSERT_EQ(a.summary.samples_no_bt, b.summary.samples_no_bt) << household;
-}
-
-TEST(ParallelPipeline, ByteIdenticalAcrossThreadCounts) {
-  const PipelineFixture fx;
-  const auto tasks = fx.make_tasks(23);
-  const Rng base{2014};
-
-  core::ThreadPool pool1{1};
-  const auto serial =
-      measurement::parallel_simulate_households(fx.kit(), tasks, base, pool1);
-  ASSERT_EQ(serial.size(), tasks.size());
-  for (const std::size_t threads : {2u, 8u}) {
-    core::ThreadPool pool{threads};
-    const auto parallel =
-        measurement::parallel_simulate_households(fx.kit(), tasks, base, pool);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_identical(serial[i], parallel[i], i);
-    }
-  }
-}
-
-TEST(ParallelPipeline, ByteIdenticalUnderAdversarialCostSkew) {
-  // Property (work-stealing determinism): per-task cost skew dictates
-  // which workers steal which blocks, and none of that may reach the
-  // output. The batch alternates a few very heavy households (saturating
-  // BitTorrent users simulated over a long window) with swarms of
-  // near-idle ones, so static contiguous blocks are maximally unbalanced
-  // and the steal path actually runs at 2 and 8 threads.
-  const PipelineFixture fx;
-  Rng rng{424242};
-  std::vector<HouseholdTask> tasks;
-  for (std::size_t i = 0; i < 40; ++i) {
-    HouseholdTask t;
-    const bool heavy = i % 13 == 0;  // ~3 heavy tasks, unevenly placed
-    t.link.down = Rate::from_mbps(heavy ? 100.0 : rng.uniform(1.0, 4.0));
-    t.link.up = Rate::from_mbps(heavy ? 10.0 : 0.5);
-    t.link.rtt_ms = rng.uniform(10.0, 300.0);
-    t.link.loss = rng.uniform(0.0, 0.01);
-    t.workload.intensity = heavy ? 3.0 : 0.05;
-    t.workload.heavy_intensity = heavy ? 3.0 : 0.05;
-    t.workload.bt_sessions_per_day = heavy ? 6.0 : 0.0;
-    t.workload.phase_shift_hours = rng.normal(0.0, 1.5);
-    t.t0 = std::floor(rng.uniform(0.0, 300.0)) * kDay;
-    t.bins = heavy ? 2880 : 120;  // 24h vs 1h at 30s bins
-    t.bin_width_s = 30.0;
-    t.collector = i % 3 == 0 ? CollectorKind::kGateway : CollectorKind::kDasu;
-    t.stream_id = 5000 + i;
-    tasks.push_back(t);
-  }
-  const Rng base{2014};
-
-  core::ThreadPool pool1{1};
-  const auto serial =
-      measurement::parallel_simulate_households(fx.kit(), tasks, base, pool1);
-  ASSERT_EQ(serial.size(), tasks.size());
-  for (const std::size_t threads : {2u, 8u}) {
-    core::ThreadPool pool{threads};
-    const auto parallel =
-        measurement::parallel_simulate_households(fx.kit(), tasks, base, pool);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_identical(serial[i], parallel[i], i);
-    }
-  }
-}
-
-TEST(ParallelPipeline, MatchesDirectSimulateHousehold) {
-  const PipelineFixture fx;
-  const auto tasks = fx.make_tasks(5);
-  const Rng base{7};
-  core::ThreadPool pool{4};
-  const auto batch =
-      measurement::parallel_simulate_households(fx.kit(), tasks, base, pool);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    Rng rng = base.fork(tasks[i].stream_id);
-    const auto direct = measurement::simulate_household(fx.kit(), tasks[i], rng);
-    expect_identical(direct, batch[i], i);
-  }
-}
-
-TEST(ParallelPipeline, GeneratorDatasetInvariantUnderThreads) {
+dataset::StudyConfig small_study() {
   dataset::StudyConfig config;
   config.seed = 77;
   config.population_scale = 0.01;  // ~120 households, keeps the test quick
@@ -180,6 +30,71 @@ TEST(ParallelPipeline, GeneratorDatasetInvariantUnderThreads) {
   config.fcc_window_days = 0.5;
   config.first_year = 2011;
   config.last_year = 2011;
+  return config;
+}
+
+/// Every byte a shard contributes: its records, upgrades and QC ledger.
+std::string serialize(const dataset::ShardOutput& out) {
+  std::ostringstream os;
+  dataset::write_user_records(os, out.records);
+  dataset::write_upgrades(os, out.upgrades);
+  os << "qc admitted=" << out.qc.admitted << "\n";
+  for (const auto& row : out.qc.rows) {
+    os << row.index << "|" << quarantine_reason_label(row.reason) << "|" << row.raw
+       << "|" << row.detail << "\n";
+  }
+  return os.str();
+}
+
+/// Simulate `specs` on a fresh pool of `threads` workers.
+std::vector<std::string> simulate_on(const dataset::StudyGenerator& gen,
+                                     std::span<const dataset::ShardSpec> specs,
+                                     std::size_t threads) {
+  const auto markets = gen.build_markets();
+  core::ThreadPool pool{threads};
+  std::vector<std::string> out;
+  for (const auto& spec : specs) {
+    out.push_back(serialize(gen.simulate_shard(spec, markets, pool)));
+  }
+  return out;
+}
+
+TEST(ParallelPipeline, ByteIdenticalAcrossThreadCounts) {
+  const dataset::StudyGenerator gen{market::World::builtin(), small_study()};
+  const auto specs = gen.plan_shards(gen.build_markets());
+  const auto serial = simulate_on(gen, specs, 1);
+  ASSERT_EQ(serial.size(), specs.size());
+  for (const std::size_t threads : {2u, 8u}) {
+    EXPECT_EQ(simulate_on(gen, specs, threads), serial) << threads << " threads";
+  }
+}
+
+TEST(ParallelPipeline, ByteIdenticalUnderAdversarialCostSkew) {
+  // Property (work-stealing determinism): per-household cost skew
+  // dictates which workers steal which blocks, and none of that may reach
+  // the output. Half the households are followed through an upgrade
+  // (three observation windows instead of one) and BitTorrent users
+  // saturate their links, so the largest shard's blocks are unbalanced
+  // and the steal path actually runs at 2 and 8 threads.
+  auto config = small_study();
+  config.window_days = 1.0;
+  config.upgrade_follow_share = 0.5;
+  const dataset::StudyGenerator gen{market::World::builtin(), config};
+  const auto specs = gen.plan_shards(gen.build_markets());
+  const auto largest = std::max_element(
+      specs.begin(), specs.end(),
+      [](const auto& a, const auto& b) { return a.n_users < b.n_users; });
+  ASSERT_GE(largest->n_users, 16u);
+  const std::span<const dataset::ShardSpec> one{&*largest, 1};
+
+  const auto serial = simulate_on(gen, one, 1);
+  for (const std::size_t threads : {2u, 8u}) {
+    EXPECT_EQ(simulate_on(gen, one, threads), serial) << threads << " threads";
+  }
+}
+
+TEST(ParallelPipeline, GeneratorDatasetInvariantUnderThreads) {
+  auto config = small_study();
 
   const auto serialize = [](const dataset::StudyDataset& ds) {
     std::ostringstream os;

@@ -1,188 +1,135 @@
 // Graceful-degradation properties of the fault-injected pipeline: an
 // injected per-household failure is quarantined rather than fatal, the
-// failure-rate threshold aborts a batch that is mostly garbage, and the
-// whole degraded run — results, dataset, AND quarantine ledger — stays
-// bit-identical across thread counts (the ISSUE's determinism bar).
+// failure-rate threshold aborts a run that is mostly garbage, and the
+// whole degraded run — shards, dataset, AND quarantine ledger — stays
+// bit-identical across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/error.h"
-#include "core/rng.h"
 #include "core/thread_pool.h"
 #include "dataset/csv.h"
 #include "dataset/generator.h"
 #include "faults/fault_plan.h"
 #include "market/country.h"
-#include "measurement/pipeline.h"
-#include "netsim/diurnal.h"
 
 namespace bblab {
 namespace {
 
-using measurement::BatchOptions;
-using measurement::BatchResult;
-using measurement::CollectorKind;
-using measurement::HouseholdTask;
-using measurement::PipelineToolkit;
-
-struct RobustnessFixture {
-  SimClock clock{2011};
-  netsim::DiurnalModel diurnal{netsim::DiurnalParams{}, clock};
-  netsim::WorkloadGenerator workload{diurnal};
-  measurement::DasuCollector dasu{measurement::DasuCollectorParams{}, diurnal};
-  measurement::GatewayCollector gateway{};
-  faults::FaultPlan plan;
-
-  [[nodiscard]] PipelineToolkit kit() const {
-    PipelineToolkit k;
-    k.workload = &workload;
-    k.dasu = &dasu;
-    k.gateway = &gateway;
-    if (!plan.empty()) k.faults = &plan;
-    return k;
-  }
-
-  [[nodiscard]] std::vector<HouseholdTask> make_tasks(std::size_t n) const {
-    Rng rng{99};
-    std::vector<HouseholdTask> tasks;
-    tasks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      HouseholdTask t;
-      t.link.down = Rate::from_mbps(rng.uniform(1.0, 50.0));
-      t.link.up = Rate::from_mbps(rng.uniform(0.5, 5.0));
-      t.link.rtt_ms = rng.uniform(10.0, 300.0);
-      t.link.loss = rng.uniform(0.0, 0.01);
-      t.workload.intensity = rng.uniform(0.3, 2.0);
-      t.bins = 240;  // two hours at 30 s, enough to observe faults
-      t.bin_width_s = 30.0;
-      t.collector = i % 3 == 0 ? CollectorKind::kGateway : CollectorKind::kDasu;
-      t.stream_id = 1000 + i;
-      tasks.push_back(t);
-    }
-    return tasks;
-  }
-};
-
-TEST(Robustness, InjectedFailureIsQuarantinedNotFatal) {
-  RobustnessFixture fx;
-  fx.plan = faults::FaultPlan::parse("fail=0.3,seed=11");
-  const auto tasks = fx.make_tasks(30);
-  core::ThreadPool pool{4};
-  BatchOptions options;
-  options.isolate_failures = true;
-
-  const auto batch = measurement::parallel_simulate_households(
-      fx.kit(), tasks, Rng{2014}, pool, options);
-
-  ASSERT_EQ(batch.results.size(), tasks.size());
-  const std::size_t failed = batch.quarantine.quarantined();
-  EXPECT_GT(failed, 0u);                 // fail=0.3 over 30 streams: ~certain
-  EXPECT_LT(failed, tasks.size());       // and equally certain not all fail
-  EXPECT_EQ(batch.quarantine.admitted, tasks.size() - failed);
-  EXPECT_EQ(batch.quarantine.count(QuarantineReason::kInjectedFault), failed);
-
-  // Failed slots are flagged and empty; surviving slots carry real data.
-  for (std::size_t i = 0; i < batch.results.size(); ++i) {
-    if (batch.results[i].failed) {
-      EXPECT_EQ(batch.results[i].series.size(), 0u) << i;
-    } else {
-      EXPECT_GT(batch.results[i].summary.samples, 0u) << i;
-    }
-  }
-  // Quarantine entries identify the household by task index and stream.
-  for (const auto& row : batch.quarantine.rows) {
-    EXPECT_EQ(row.reason, QuarantineReason::kInjectedFault);
-    EXPECT_TRUE(batch.results[row.index].failed) << row.index;
-    EXPECT_EQ(row.raw,
-              "stream " + std::to_string(tasks[row.index].stream_id));
-  }
+dataset::StudyConfig faulted_study(const std::string& faults) {
+  dataset::StudyConfig config;
+  config.seed = 77;
+  config.population_scale = 0.01;
+  config.window_days = 0.25;
+  config.fcc_users = 20;
+  config.fcc_window_days = 0.25;
+  config.first_year = 2011;
+  config.last_year = 2011;
+  config.faults = faults::FaultPlan::parse(faults);
+  config.max_household_failure_rate = 1.0;  // never abort unless a test says so
+  return config;
 }
 
-TEST(Robustness, WithoutIsolationInjectedFailureIsFatal) {
-  RobustnessFixture fx;
-  fx.plan = faults::FaultPlan::parse("fail=1.0");
-  const auto tasks = fx.make_tasks(4);
-  core::ThreadPool pool{2};
-  EXPECT_THROW(measurement::parallel_simulate_households(fx.kit(), tasks,
-                                                         Rng{2014}, pool),
-               InjectedFault);
+/// The planned shard with the most households.
+dataset::ShardSpec largest_shard(const dataset::StudyGenerator& gen) {
+  const auto specs = gen.plan_shards(gen.build_markets());
+  return *std::max_element(
+      specs.begin(), specs.end(),
+      [](const auto& a, const auto& b) { return a.n_users < b.n_users; });
+}
+
+/// A QC ledger as text, so byte-equality covers it too.
+std::string qc_text(const core::QuarantineReport& qc) {
+  std::ostringstream os;
+  os << "qc admitted=" << qc.admitted << "\n";
+  for (const auto& row : qc.rows) {
+    os << row.index << "|" << quarantine_reason_label(row.reason) << "|"
+       << row.raw << "|" << row.detail << "\n";
+  }
+  return os.str();
+}
+
+/// Serialize a shard's output plus its QC ledger.
+std::string serialize_shard(const dataset::ShardOutput& out) {
+  std::ostringstream os;
+  dataset::write_user_records(os, out.records);
+  dataset::write_upgrades(os, out.upgrades);
+  return os.str() + qc_text(out.qc);
+}
+
+TEST(Robustness, InjectedFailureIsQuarantinedNotFatal) {
+  const dataset::StudyGenerator gen{market::World::builtin(),
+                                    faulted_study("fail=0.3,seed=11")};
+  const auto spec = largest_shard(gen);
+  ASSERT_GE(spec.n_users, 16u);
+  core::ThreadPool pool{4};
+  const auto out = gen.simulate_shard(spec, gen.build_markets(), pool);
+
+  const std::size_t failed = out.qc.quarantined();
+  EXPECT_GT(failed, 0u);           // fail=0.3 over a few dozen users: ~certain
+  EXPECT_LT(failed, spec.n_users); // and equally certain not all fail
+  EXPECT_EQ(out.qc.admitted, spec.n_users - failed);
+  EXPECT_EQ(out.qc.count(QuarantineReason::kInjectedFault), failed);
+  EXPECT_LE(out.records.size(), out.qc.admitted);
+  EXPECT_FALSE(out.records.empty());
+
+  // Quarantine rows identify the household by user id, and a failed
+  // household contributes no record.
+  for (const auto& row : out.qc.rows) {
+    EXPECT_EQ(row.reason, QuarantineReason::kInjectedFault);
+    EXPECT_GE(row.index, spec.base_id);
+    EXPECT_LT(row.index, spec.base_id + spec.n_users);
+    EXPECT_EQ(row.raw, "user " + std::to_string(row.index));
+    for (const auto& rec : out.records) EXPECT_NE(rec.user_id, row.index);
+  }
 }
 
 TEST(Robustness, FailureRateThresholdAbortsBatch) {
-  RobustnessFixture fx;
-  fx.plan = faults::FaultPlan::parse("fail=1.0");
-  const auto tasks = fx.make_tasks(8);
-  core::ThreadPool pool{2};
-  BatchOptions options;
-  options.isolate_failures = true;
-  options.max_failure_rate = 0.5;
-  EXPECT_THROW(measurement::parallel_simulate_households(fx.kit(), tasks,
-                                                         Rng{2014}, pool, options),
-               AnalysisError);
-}
-
-TEST(Robustness, FaultedBatchInvariantUnderThreadCounts) {
-  RobustnessFixture fx;
-  fx.plan = faults::FaultPlan::parse(
-      "churn=0.4,outage_h=0.5,blackout=0.3,blackout_h=0.25,reset=0.3,"
-      "wrap=0.3,skew=0.5,skew_s=45,fail=0.2,seed=3");
-  const auto tasks = fx.make_tasks(24);
-  BatchOptions options;
-  options.isolate_failures = true;
-
-  core::ThreadPool pool1{1};
-  const auto serial = measurement::parallel_simulate_households(
-      fx.kit(), tasks, Rng{2014}, pool1, options);
-
-  for (const std::size_t threads : {2u, 8u}) {
-    core::ThreadPool pool{threads};
-    const auto parallel = measurement::parallel_simulate_households(
-        fx.kit(), tasks, Rng{2014}, pool, options);
-    ASSERT_EQ(parallel.results.size(), serial.results.size());
-    for (std::size_t i = 0; i < serial.results.size(); ++i) {
-      const auto& a = serial.results[i];
-      const auto& b = parallel.results[i];
-      ASSERT_EQ(a.failed, b.failed) << i;
-      ASSERT_EQ(a.series.size(), b.series.size()) << i;
-      for (std::size_t s = 0; s < a.series.size(); ++s) {
-        ASSERT_EQ(a.series.samples[s].time, b.series.samples[s].time) << i;
-        ASSERT_EQ(a.series.samples[s].down.bps(), b.series.samples[s].down.bps());
-        ASSERT_EQ(a.series.samples[s].up.bps(), b.series.samples[s].up.bps());
-      }
-      ASSERT_EQ(a.summary.mean_down.bps(), b.summary.mean_down.bps()) << i;
-      ASSERT_EQ(a.summary.peak_down.bps(), b.summary.peak_down.bps()) << i;
-      ASSERT_EQ(a.summary.samples, b.summary.samples) << i;
-    }
-    // The quarantine ledger itself must be bit-identical too.
-    ASSERT_EQ(parallel.quarantine.admitted, serial.quarantine.admitted);
-    ASSERT_EQ(parallel.quarantine.quarantined(), serial.quarantine.quarantined());
-    for (std::size_t r = 0; r < serial.quarantine.rows.size(); ++r) {
-      const auto& a = serial.quarantine.rows[r];
-      const auto& b = parallel.quarantine.rows[r];
-      ASSERT_EQ(a.index, b.index) << r;
-      ASSERT_EQ(a.reason, b.reason) << r;
-      ASSERT_EQ(a.raw, b.raw) << r;
-      ASSERT_EQ(a.detail, b.detail) << r;
-    }
+  auto config = faulted_study("fail=1.0");
+  config.max_household_failure_rate = 0.5;
+  try {
+    (void)dataset::StudyGenerator{market::World::builtin(), config}.generate();
+    FAIL() << "a run where every household fails completed";
+  } catch (const AnalysisError& e) {
+    EXPECT_NE(std::string{e.what()}.find("household failure rate 1.0"),
+              std::string::npos)
+        << e.what();
   }
 }
 
-/// Serialize a dataset plus its QC ledger so byte-equality covers both.
+TEST(Robustness, FaultedBatchInvariantUnderThreadCounts) {
+  const dataset::StudyGenerator gen{
+      market::World::builtin(),
+      faulted_study("churn=0.4,outage_h=0.5,blackout=0.3,blackout_h=0.25,reset=0.3,"
+                    "wrap=0.3,skew=0.5,skew_s=45,fail=0.2,seed=3")};
+  const auto markets = gen.build_markets();
+  const auto specs = gen.plan_shards(markets);
+  const auto simulate_all = [&](std::size_t threads) {
+    core::ThreadPool pool{threads};
+    std::vector<std::string> out;
+    for (const auto& spec : specs) {
+      out.push_back(serialize_shard(gen.simulate_shard(spec, markets, pool)));
+    }
+    return out;
+  };
+  const auto serial = simulate_all(1);
+  for (const std::size_t threads : {2u, 8u}) {
+    EXPECT_EQ(simulate_all(threads), serial) << threads << " threads";
+  }
+}
+
+/// Serialize a dataset plus its QC ledger.
 std::string serialize_with_qc(const dataset::StudyDataset& ds) {
   std::ostringstream os;
   dataset::write_user_records(os, ds.dasu);
   dataset::write_user_records(os, ds.fcc);
   dataset::write_upgrades(os, ds.upgrades);
-  os << "qc admitted=" << ds.qc.admitted << "\n";
-  for (const auto& row : ds.qc.rows) {
-    os << row.index << "|" << quarantine_reason_label(row.reason) << "|"
-       << row.raw << "|" << row.detail << "\n";
-  }
-  return os.str();
+  return os.str() + qc_text(ds.qc);
 }
 
 TEST(Robustness, GeneratorWithFaultsInvariantUnderThreads) {

@@ -95,13 +95,13 @@ std::string serialized(const dataset::StudyDataset& ds) {
 
 TEST(Snapshot, RoundTripIsBitLossless) {
   const auto ds = make_tiny();
-  std::istringstream in{serialized(ds)};
-  const auto back = read_snapshot(in);
+  const auto back = read_snapshot(serialized(ds));
 
   EXPECT_EQ(content_hash(back), content_hash(ds));
   // Spot-check what content_hash asserts, including what operator== cannot.
   EXPECT_EQ(back.config.seed, 77u);
-  EXPECT_EQ(back.config.threads, 3u);
+  // The thread count is not the dataset's: it is always stored as 0.
+  EXPECT_EQ(back.config.threads, 0u);
   EXPECT_TRUE(back.config.placebo);
   ASSERT_EQ(back.dasu.size(), 1u);
   EXPECT_TRUE(std::isnan(back.dasu[0].upgrade_cost_per_mbps));
@@ -122,6 +122,14 @@ TEST(Snapshot, RoundTripIsBitLossless) {
   EXPECT_EQ(back.qc.rows[1].detail, "planned failure");
 }
 
+TEST(Snapshot, ThreadCountDoesNotChangeTheBytes) {
+  auto ds = make_tiny();
+  ds.config.threads = 1;
+  const std::string one = serialized(ds);
+  ds.config.threads = 8;
+  EXPECT_EQ(serialized(ds), one);
+}
+
 TEST(Snapshot, GeneratedDatasetRoundTrips) {
   dataset::StudyConfig config;
   config.seed = 5;
@@ -133,18 +141,14 @@ TEST(Snapshot, GeneratedDatasetRoundTrips) {
       dataset::StudyGenerator{market::World::builtin(), config}.generate();
   ASSERT_FALSE(ds.dasu.empty());
 
-  std::istringstream in{serialized(ds)};
-  const auto back = read_snapshot(in);
+  const auto back = read_snapshot(serialized(ds));
   EXPECT_EQ(content_hash(back), content_hash(ds));
   EXPECT_EQ(back.markets.size(), ds.markets.size());
 }
 
 TEST(Snapshot, EveryByteFlipIsDetected) {
   const std::string clean = serialized(make_tiny());
-  {
-    std::istringstream in{clean};
-    EXPECT_NO_THROW((void)read_snapshot(in));
-  }
+  EXPECT_NO_THROW((void)read_snapshot(clean));
   // Flip a low and a high bit of every byte of the file. Whatever the
   // byte encodes — magic, version, section payload, footer, trailer —
   // the reader must reject the file with a typed error, never crash or
@@ -154,8 +158,7 @@ TEST(Snapshot, EveryByteFlipIsDetected) {
     for (const unsigned char mask : {0x01, 0x80}) {
       std::string damaged = clean;
       damaged[i] = static_cast<char>(damaged[i] ^ mask);
-      std::istringstream in{damaged};
-      EXPECT_THROW((void)read_snapshot(in), SnapshotError)
+      EXPECT_THROW((void)read_snapshot(damaged), SnapshotError)
           << "flip survived at byte " << i << " mask " << int(mask);
       ++checked;
     }
@@ -168,8 +171,8 @@ TEST(Snapshot, TruncationIsDetected) {
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{1}, std::size_t{15}, std::size_t{16},
         clean.size() / 2, clean.size() - 1}) {
-    std::istringstream in{clean.substr(0, keep)};
-    EXPECT_THROW((void)read_snapshot(in), SnapshotError) << "kept " << keep;
+    EXPECT_THROW((void)read_snapshot(clean.substr(0, keep)), SnapshotError)
+        << "kept " << keep;
   }
 }
 
@@ -181,9 +184,8 @@ TEST(Snapshot, TruncationAtEveryLengthIsATypedError) {
   const std::string clean = serialized(make_tiny());
   ASSERT_GT(clean.size(), 100u);
   for (std::size_t keep = 0; keep < clean.size(); ++keep) {
-    std::istringstream in{clean.substr(0, keep)};
     try {
-      (void)read_snapshot(in);
+      (void)read_snapshot(std::string_view{clean}.substr(0, keep));
       FAIL() << "prefix of " << keep << " bytes accepted as a snapshot";
     } catch (const SnapshotError&) {
       // the one permitted outcome
@@ -218,9 +220,8 @@ TEST(Snapshot, ErrorsCarryTypedReasons) {
 
   std::string wrong_magic = clean;
   wrong_magic[0] = 'X';
-  std::istringstream m{wrong_magic};
   try {
-    (void)read_snapshot(m);
+    (void)read_snapshot(wrong_magic);
     FAIL() << "bad magic accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.reason(), QuarantineReason::kFormatMismatch);
@@ -228,9 +229,8 @@ TEST(Snapshot, ErrorsCarryTypedReasons) {
 
   std::string future_version = clean;
   future_version[12] = 9;  // version field, little-endian first byte
-  std::istringstream v{future_version};
   try {
-    (void)read_snapshot(v);
+    (void)read_snapshot(future_version);
     FAIL() << "future version accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.reason(), QuarantineReason::kFormatMismatch);
@@ -238,9 +238,8 @@ TEST(Snapshot, ErrorsCarryTypedReasons) {
 
   std::string payload_damage = clean;
   payload_damage[20] ^= 0x40;  // inside the config section payload
-  std::istringstream p{payload_damage};
   try {
-    (void)read_snapshot(p);
+    (void)read_snapshot(payload_damage);
     FAIL() << "payload damage accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.reason(), QuarantineReason::kChecksumMismatch);
@@ -252,9 +251,8 @@ TEST(Snapshot, UnknownCountryIsRejectedAsBadValue) {
   auto node = ds.markets.extract("US");
   node.key() = "ZZ";  // no such country in the builtin world
   ds.markets.insert(std::move(node));
-  std::istringstream in{serialized(ds)};
   try {
-    (void)read_snapshot(in);
+    (void)read_snapshot(serialized(ds));
     FAIL() << "unknown country accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.reason(), QuarantineReason::kBadValue);
@@ -263,8 +261,7 @@ TEST(Snapshot, UnknownCountryIsRejectedAsBadValue) {
 
 TEST(Snapshot, InspectListsAllSectionsInOrder) {
   const std::string bytes = serialized(make_tiny());
-  std::istringstream in{bytes};
-  const auto info = inspect_snapshot(in);
+  const auto info = inspect_snapshot(bytes);
   EXPECT_EQ(info.version, kFormatVersion);
   EXPECT_EQ(info.file_size, bytes.size());
   const std::vector<std::string> want{"config", "dasu",    "fcc",

@@ -477,7 +477,8 @@ int cmd_cat(const CliOptions& options) {
   }
   // Zero-copy path: mmap the snapshot and decode straight out of the
   // mapping — same SnapshotView the serve daemon runs on. Files that
-  // cannot be mapped (FIFOs, exotic filesystems) fall back to streaming.
+  // cannot be mapped (FIFOs, exotic filesystems) are read whole and
+  // decoded by the same code.
   store::SnapshotInfo info;
   dataset::StudyDataset ds;
   if (auto mapped = store::MappedFile::try_open(path)) {
@@ -486,13 +487,9 @@ int cmd_cat(const CliOptions& options) {
     // Decoding verifies every section checksum before handing out views.
     ds = view.dataset();
   } else {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) {
-      std::cerr << "cannot open " << path << "\n";
-      return 1;
-    }
-    info = store::inspect_snapshot(in);
-    ds = store::read_snapshot(in);
+    const std::string bytes = core::FileSystem::instance().read_file(path);
+    info = store::inspect_snapshot(bytes);
+    ds = store::read_snapshot(bytes);
   }
   std::cout << "bbs format v" << info.version << ", " << info.file_size
             << " bytes, " << info.sections.size() << " sections\n";
